@@ -9,6 +9,11 @@
 //! the default here is a few hundred ops per client scaled for
 //! single-digit-minute wall time. Set `MR_OPS_PER_CLIENT` (and
 //! `MR_TPCC_SECS`) to raise the sample counts toward paper scale.
+//!
+//! The CI probes live in [`probe`] and run through the `probe` binary.
+
+mod json;
+pub mod probe;
 
 use mr_sim::SimRng;
 use mr_workload::bulk;
@@ -161,47 +166,6 @@ pub fn print_cdf(name: &str, rec: &mut mr_sim::LatencyRecorder) {
     println!();
 }
 
-/// JSON object for one merged latency histogram (nanosecond values).
-pub fn obs_hist_json(h: &mr_obs::Histogram) -> String {
-    format!(
-        "{{\"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
-        h.count(),
-        h.quantile(0.5),
-        h.quantile(0.99),
-        h.max()
-    )
-}
-
-/// Write a finished run's observability exports next to the bench output:
-/// `<prefix>_metrics.json` / `.csv` (registry dump), `<prefix>_scrapes.csv`
-/// (time series), `<prefix>_events.json` (cluster event log),
-/// `<prefix>_replication_report.json` (conformance report), and
-/// `<prefix>_trace.json` (Chrome trace, only when spans were recorded).
-/// All are deterministic for a fixed seed.
-pub fn write_obs_exports(db: &SqlDb, prefix: &str) {
-    let obs = &db.cluster.obs;
-    std::fs::write(format!("{prefix}_metrics.json"), obs.registry.dump_json()).unwrap();
-    std::fs::write(format!("{prefix}_metrics.csv"), obs.registry.dump_csv()).unwrap();
-    std::fs::write(format!("{prefix}_scrapes.csv"), obs.scraper.export_csv()).unwrap();
-    std::fs::write(
-        format!("{prefix}_events.json"),
-        db.cluster.events.export_json(),
-    )
-    .unwrap();
-    std::fs::write(
-        format!("{prefix}_replication_report.json"),
-        db.cluster.replication_report().export_json(),
-    )
-    .unwrap();
-    if !obs.tracer.is_empty() {
-        std::fs::write(
-            format!("{prefix}_trace.json"),
-            obs.tracer.export_chrome_json(),
-        )
-        .unwrap();
-    }
-}
-
 /// Errors-to-stderr summary for a finished run.
 pub fn report_errors(name: &str, stats: &DriverStats) {
     if stats.failed > 0 {
@@ -212,1342 +176,4 @@ pub fn report_errors(name: &str, stats: &DriverStats) {
             stats.errors
         );
     }
-}
-
-// ---------------------------------------------------------------------------
-// Commit-latency probe (parallel commits ablation)
-// ---------------------------------------------------------------------------
-
-/// One measured latency cell: client-observed transaction latency from
-/// `txn_begin` to the commit acknowledgement, in simulated milliseconds.
-pub struct CommitCell {
-    pub p50_ms: f64,
-    pub p99_ms: f64,
-    pub n: usize,
-}
-
-/// One probe row: a (gateway region, write-shape) scenario measured under
-/// both commit modes against the home region's RTT.
-pub struct CommitRow {
-    pub gateway_region: String,
-    /// `"single"`: one write — the legacy 1PC fast path already commits
-    /// this in one round trip, so pipelining must merely not regress it.
-    /// `"multi"`: writes to two ZONE-survivable ranges homed in the same
-    /// region — the paper's 2-RTT→1-RTT headline (legacy flushes intents,
-    /// then writes the record; parallel commits overlap them). `"cross"`:
-    /// a ZONE-survivable plus a REGION-survivable write, whose WAN quorum
-    /// dominates but still hides the commit-record round trip.
-    pub scenario: &'static str,
-    /// Gateway-region ↔ home-region round trip.
-    pub rtt_ms: f64,
-    pub legacy: CommitCell,
-    pub pipelined: CommitCell,
-}
-
-fn quantile_ms(sorted_nanos: &[u64], q: f64) -> f64 {
-    assert!(!sorted_nanos.is_empty());
-    let idx = ((sorted_nanos.len() - 1) as f64 * q).round() as usize;
-    sorted_nanos[idx] as f64 / 1e6
-}
-
-/// Drive `shapes.len()` transactions sequentially from `gateway`, each
-/// writing the keys of its shape in order, and return the per-transaction
-/// begin→commit-ack latencies (nanoseconds of simulated time).
-fn drive_commit_txns(
-    c: &mut mr_kv::Cluster,
-    gateway: mr_sim::NodeId,
-    shapes: Vec<Vec<mr_proto::Key>>,
-) -> Vec<u64> {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    struct Drive {
-        gateway: mr_sim::NodeId,
-        remaining: Vec<Vec<mr_proto::Key>>,
-        samples: Vec<u64>,
-    }
-
-    fn put_chain(
-        c: &mut mr_kv::Cluster,
-        h: mr_kv::TxnHandle,
-        mut keys: std::vec::IntoIter<mr_proto::Key>,
-        started: mr_sim::SimTime,
-        st: Rc<RefCell<Drive>>,
-    ) {
-        match keys.next() {
-            Some(key) => {
-                let val = mr_proto::Value::from("probe");
-                c.txn_put(
-                    h,
-                    key,
-                    Some(val),
-                    Box::new(move |c, res| {
-                        res.unwrap_or_else(|e| panic!("probe put failed: {e}"));
-                        put_chain(c, h, keys, started, st);
-                    }),
-                );
-            }
-            None => c.txn_commit(
-                h,
-                Box::new(move |c, res| {
-                    res.unwrap_or_else(|e| panic!("probe commit failed: {e}"));
-                    let dt = c.now().nanos() - started.nanos();
-                    st.borrow_mut().samples.push(dt);
-                    next_txn(c, st);
-                }),
-            ),
-        }
-    }
-
-    fn next_txn(c: &mut mr_kv::Cluster, st: Rc<RefCell<Drive>>) {
-        let (gateway, shape) = {
-            let mut s = st.borrow_mut();
-            if s.remaining.is_empty() {
-                return;
-            }
-            (s.gateway, s.remaining.remove(0))
-        };
-        let started = c.now();
-        let h = c.txn_begin(gateway);
-        put_chain(c, h, shape.into_iter(), started, st);
-    }
-
-    let st = Rc::new(RefCell::new(Drive {
-        gateway,
-        remaining: shapes,
-        samples: Vec::new(),
-    }));
-    next_txn(c, st.clone());
-    let deadline = SimTime(c.now().nanos() + SimDuration::from_secs(600).nanos());
-    c.run_until_quiescent(deadline);
-    // Drain any straggling async intent resolutions before the next cell.
-    let settle = SimTime(c.now().nanos() + SimDuration::from_secs(2).nanos());
-    c.run_until(settle);
-    Rc::try_unwrap(st)
-        .ok()
-        .expect("probe continuations still pending")
-        .into_inner()
-        .samples
-}
-
-/// Measure client-observed transaction latency (begin → commit ack) for
-/// single-range and multi-range write transactions from every gateway
-/// region, once with legacy synchronous commits and once with pipelining +
-/// parallel commits. Deterministic for a fixed seed.
-pub fn commit_probe(seed: u64, txns_per_cell: usize) -> Vec<CommitRow> {
-    use mr_chaos::{build_chaos_cluster, ChaosConfig};
-    use mr_kv::zone::{derive_zone_config, ClosedTsPolicy, PlacementPolicy, SurvivalGoal};
-
-    let scenarios: [(&'static str, fn(u32, usize) -> Vec<mr_proto::Key>); 3] = [
-        ("single", |r, i| {
-            vec![mr_proto::Key::from(format!("zs/p{r}_{i}").as_str())]
-        }),
-        ("multi", |r, i| {
-            vec![
-                mr_proto::Key::from(format!("zs/p{r}_{i}").as_str()),
-                mr_proto::Key::from(format!("za/p{r}_{i}").as_str()),
-            ]
-        }),
-        ("cross", |r, i| {
-            vec![
-                mr_proto::Key::from(format!("zs/p{r}_{i}").as_str()),
-                mr_proto::Key::from(format!("rs/p{r}_{i}").as_str()),
-            ]
-        }),
-    ];
-
-    // cells[scenario][region] -> (legacy, pipelined) samples.
-    let mut cells: Vec<Vec<(Vec<u64>, Vec<u64>)>> = scenarios
-        .iter()
-        .map(|_| (0..3).map(|_| (Vec::new(), Vec::new())).collect())
-        .collect();
-    let mut rtts = [0.0f64; 3];
-    let mut region_names = vec![String::new(); 3];
-
-    for pipelined in [false, true] {
-        let cfg = ChaosConfig {
-            seed,
-            pipelined_writes: pipelined,
-            parallel_commits: pipelined,
-            ..ChaosConfig::default()
-        };
-        let mut c = build_chaos_cluster(&cfg);
-        // A second ZONE-survivable range homed alongside `zs/*`: the
-        // `multi` scenario spans the two so the transaction cannot take
-        // the 1PC fast path yet both intent quorums stay in-region.
-        let za = derive_zone_config(
-            mr_sim::RegionId(0),
-            &[
-                mr_sim::RegionId(0),
-                mr_sim::RegionId(1),
-                mr_sim::RegionId(2),
-            ],
-            SurvivalGoal::Zone,
-            PlacementPolicy::Default,
-            ClosedTsPolicy::Lag,
-        );
-        c.create_range(
-            mr_proto::Span::new(mr_proto::Key::from("za/"), mr_proto::Key::from("za0")),
-            za,
-        )
-        .expect("allocate za range");
-        c.run_until(SimTime(SimDuration::from_secs(3).nanos()));
-        for (si, (_, mk)) in scenarios.iter().enumerate() {
-            for region in 0..3u32 {
-                let gateway = mr_sim::NodeId(region * 3);
-                if !pipelined {
-                    region_names[region as usize] = c
-                        .topology()
-                        .region_name(mr_sim::RegionId(region))
-                        .to_string();
-                    rtts[region as usize] =
-                        c.topology().nominal_rtt(gateway, mr_sim::NodeId(0)).nanos() as f64 / 1e6;
-                }
-                let shapes: Vec<Vec<mr_proto::Key>> = (0..txns_per_cell)
-                    .map(|i| mk(region, i + if pipelined { txns_per_cell } else { 0 }))
-                    .collect();
-                let samples = drive_commit_txns(&mut c, gateway, shapes);
-                assert_eq!(samples.len(), txns_per_cell, "probe txns went missing");
-                let slot = &mut cells[si][region as usize];
-                if pipelined {
-                    slot.1 = samples;
-                } else {
-                    slot.0 = samples;
-                }
-            }
-        }
-    }
-
-    let mut rows = Vec::new();
-    for (si, (name, _)) in scenarios.iter().enumerate() {
-        for region in 0..3usize {
-            let (mut legacy, mut piped) =
-                (cells[si][region].0.clone(), cells[si][region].1.clone());
-            legacy.sort_unstable();
-            piped.sort_unstable();
-            rows.push(CommitRow {
-                gateway_region: region_names[region].clone(),
-                scenario: name,
-                rtt_ms: rtts[region],
-                legacy: CommitCell {
-                    p50_ms: quantile_ms(&legacy, 0.5),
-                    p99_ms: quantile_ms(&legacy, 0.99),
-                    n: legacy.len(),
-                },
-                pipelined: CommitCell {
-                    p50_ms: quantile_ms(&piped, 0.5),
-                    p99_ms: quantile_ms(&piped, 0.99),
-                    n: piped.len(),
-                },
-            });
-        }
-    }
-    rows
-}
-
-// ---------------------------------------------------------------------------
-// Raft machinery probe (group commit + quiescence)
-// ---------------------------------------------------------------------------
-
-/// One batching phase: concurrent multi-range writers driven closed-loop,
-/// Raft entry and command counts read from the registry afterwards.
-pub struct RaftPhase {
-    /// Commands proposed through the batched path.
-    pub commands: u64,
-    /// Raft entries those commands were coalesced into.
-    pub entries: u64,
-    /// `commands / entries` — group commit works when this exceeds 1.
-    pub mean_occupancy: f64,
-    /// Commands per simulated second (client-observed throughput proxy).
-    pub proposals_per_sec: f64,
-    /// Transactions the phase committed.
-    pub txns: u64,
-    /// Leaseholder reads served without a Raft proposal (each txn opens
-    /// with one read, so this should equal `txns`).
-    pub read_fast_path: u64,
-}
-
-/// The full probe: group-commit occupancy with and without a flush window,
-/// plus heartbeat rates over a cold cluster with and without quiescence.
-pub struct RaftProbeReport {
-    /// Flush window of [`RAFT_PROBE_FLUSH_MS`] ms: concurrent proposals
-    /// coalesce into multi-command entries.
-    pub batched: RaftPhase,
-    /// Zero flush window: only same-instant arrivals share an entry — the
-    /// baseline the batched phase must beat on occupancy.
-    pub unbatched: RaftPhase,
-    /// Leaseholder reads served without a Raft proposal (read fast path)
-    /// across both phases.
-    pub read_fast_path: u64,
-    /// Idle ranges in the quiescence A/B cluster.
-    pub cold_ranges: u32,
-    /// Heartbeat (empty AppendEntries) messages per simulated second over
-    /// the idle window with quiescence disabled / enabled.
-    pub hb_per_sec_off: f64,
-    pub hb_per_sec_on: f64,
-    /// `hb_off / max(hb_on, 1)` as totals — the suppression factor.
-    pub heartbeat_suppression: f64,
-}
-
-/// Flush window used by the batched phase, in milliseconds.
-pub const RAFT_PROBE_FLUSH_MS: u64 = 2;
-
-/// The 3-region chaos topology with `zs/` + `za/` ZONE-survivable and
-/// `rs/` REGION-survivable ranges homed in region 0, plus `cold<i>/`
-/// ranges no workload ever touches.
-fn raft_probe_cluster(
-    seed: u64,
-    flush: SimDuration,
-    quiesce: bool,
-    cold_ranges: u32,
-) -> mr_kv::Cluster {
-    use mr_kv::cluster::{Cluster, ClusterConfig};
-    use mr_kv::zone::{derive_zone_config, ClosedTsPolicy, PlacementPolicy, SurvivalGoal};
-
-    let regions = mr_sim::RttMatrix::paper_table1_regions();
-    let topo = mr_sim::Topology::build(
-        &regions[..3],
-        3,
-        mr_sim::RttMatrix::from_upper_millis(3, &[&[63, 87], &[132]]),
-    );
-    let mut c = Cluster::new(
-        topo,
-        ClusterConfig {
-            seed,
-            raft_flush_interval: flush,
-            raft_quiescence: quiesce,
-            ..ClusterConfig::default()
-        },
-    );
-    let db_regions: Vec<mr_sim::RegionId> = (0..3).map(mr_sim::RegionId).collect();
-    let home = mr_sim::RegionId(0);
-    let zone = |c: &mut Cluster, start: &str, end: &str| {
-        let zc = derive_zone_config(
-            home,
-            &db_regions,
-            SurvivalGoal::Zone,
-            PlacementPolicy::Default,
-            ClosedTsPolicy::Lag,
-        );
-        c.create_range(
-            mr_proto::Span::new(mr_proto::Key::from(start), mr_proto::Key::from(end)),
-            zc,
-        )
-        .expect("allocate range");
-    };
-    zone(&mut c, "zs/", "zs0");
-    zone(&mut c, "za/", "za0");
-    let rs = derive_zone_config(
-        home,
-        &db_regions,
-        SurvivalGoal::Region,
-        PlacementPolicy::Default,
-        ClosedTsPolicy::Lag,
-    );
-    c.create_range(
-        mr_proto::Span::new(mr_proto::Key::from("rs/"), mr_proto::Key::from("rs0")),
-        rs,
-    )
-    .expect("allocate rs range");
-    for i in 0..cold_ranges {
-        let start = format!("cold{i}/");
-        let end = format!("cold{i}0");
-        zone(&mut c, &start, &end);
-    }
-    c
-}
-
-/// Drive `clients` concurrent closed-loop writers, each running its txn
-/// shapes sequentially: read the first key (leaseholder fast path), write
-/// every key, commit. Returns the committed-transaction count.
-fn drive_concurrent_txns(
-    c: &mut mr_kv::Cluster,
-    clients: Vec<(mr_sim::NodeId, Vec<Vec<mr_proto::Key>>)>,
-) -> u64 {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    struct Probe {
-        gateway: mr_sim::NodeId,
-        remaining: Vec<Vec<mr_proto::Key>>,
-        committed: Rc<RefCell<u64>>,
-    }
-
-    fn put_chain(
-        c: &mut mr_kv::Cluster,
-        h: mr_kv::TxnHandle,
-        mut keys: std::vec::IntoIter<mr_proto::Key>,
-        st: Rc<RefCell<Probe>>,
-    ) {
-        match keys.next() {
-            Some(key) => {
-                let val = mr_proto::Value::from("raft-probe");
-                c.txn_put(
-                    h,
-                    key,
-                    Some(val),
-                    Box::new(move |c, res| {
-                        res.unwrap_or_else(|e| panic!("probe put failed: {e}"));
-                        put_chain(c, h, keys, st);
-                    }),
-                );
-            }
-            None => c.txn_commit(
-                h,
-                Box::new(move |c, res| {
-                    res.unwrap_or_else(|e| panic!("probe commit failed: {e}"));
-                    *st.borrow_mut().committed.borrow_mut() += 1;
-                    next_txn(c, st);
-                }),
-            ),
-        }
-    }
-
-    fn next_txn(c: &mut mr_kv::Cluster, st: Rc<RefCell<Probe>>) {
-        let (gateway, shape) = {
-            let mut s = st.borrow_mut();
-            if s.remaining.is_empty() {
-                return;
-            }
-            (s.gateway, s.remaining.remove(0))
-        };
-        let h = c.txn_begin(gateway);
-        let first = shape[0].clone();
-        c.txn_get(
-            h,
-            first,
-            Box::new(move |c, res| {
-                res.unwrap_or_else(|e| panic!("probe get failed: {e}"));
-                put_chain(c, h, shape.into_iter(), st);
-            }),
-        );
-    }
-
-    let committed = Rc::new(RefCell::new(0u64));
-    for (gateway, shapes) in clients {
-        let st = Rc::new(RefCell::new(Probe {
-            gateway,
-            remaining: shapes,
-            committed: committed.clone(),
-        }));
-        next_txn(c, st);
-    }
-    let deadline = SimTime(c.now().nanos() + SimDuration::from_secs(600).nanos());
-    c.run_until_quiescent(deadline);
-    let n = *committed.borrow();
-    n
-}
-
-/// One batching phase: 4 clients on each region-0 gateway, every txn
-/// reading then writing one `zs/` and one `za/` key (multi-range, so the
-/// STAGING record and second intent live in different Raft logs).
-fn raft_batching_phase(seed: u64, flush: SimDuration, txns_per_client: usize) -> RaftPhase {
-    let mut c = raft_probe_cluster(seed, flush, true, 0);
-    c.run_until(SimTime(SimDuration::from_secs(3).nanos()));
-    c.scrape_now();
-    let before = c.metrics();
-    let t0 = c.now();
-    let mut clients = Vec::new();
-    for node in 0..3u32 {
-        for ci in 0..4u32 {
-            let shapes: Vec<Vec<mr_proto::Key>> = (0..txns_per_client)
-                .map(|i| {
-                    vec![
-                        mr_proto::Key::from(format!("zs/n{node}c{ci}_{i}").as_str()),
-                        mr_proto::Key::from(format!("za/n{node}c{ci}_{i}").as_str()),
-                    ]
-                })
-                .collect();
-            clients.push((mr_sim::NodeId(node), shapes));
-        }
-    }
-    let expected = clients.len() * txns_per_client;
-    let txns = drive_concurrent_txns(&mut c, clients);
-    assert_eq!(txns as usize, expected, "probe txns went missing");
-    let dt_secs = (c.now().nanos() - t0.nanos()) as f64 / 1e9;
-    c.scrape_now();
-    let after = c.metrics();
-    let commands = after.proposals_batched - before.proposals_batched;
-    let entries = after.entries_proposed - before.entries_proposed;
-    RaftPhase {
-        commands,
-        entries,
-        mean_occupancy: commands as f64 / entries.max(1) as f64,
-        proposals_per_sec: commands as f64 / dt_secs,
-        txns,
-        read_fast_path: after.read_fast_path - before.read_fast_path,
-    }
-}
-
-/// Heartbeat messages per simulated second over a 20s idle window on a
-/// cluster with `cold` untouched ranges, measured after a 5s settle.
-fn raft_heartbeat_phase(seed: u64, quiesce: bool, cold: u32) -> (f64, u64) {
-    let mut c = raft_probe_cluster(seed, SimDuration::ZERO, quiesce, cold);
-    c.run_until(SimTime(SimDuration::from_secs(5).nanos()));
-    let before = c.metrics().heartbeats_sent;
-    let window = SimDuration::from_secs(20);
-    c.run_until(SimTime(c.now().nanos() + window.nanos()));
-    let total = c.metrics().heartbeats_sent - before;
-    (total as f64 / 20.0, total)
-}
-
-/// Run the full raft probe: batched vs unbatched occupancy under
-/// concurrent multi-range writers, and the quiescence heartbeat A/B over
-/// `cold_ranges` idle ranges. Deterministic for a fixed seed.
-pub fn raft_probe(seed: u64, txns_per_client: usize, cold_ranges: u32) -> RaftProbeReport {
-    let batched = raft_batching_phase(
-        seed,
-        SimDuration::from_millis(RAFT_PROBE_FLUSH_MS),
-        txns_per_client,
-    );
-    let unbatched = raft_batching_phase(seed, SimDuration::ZERO, txns_per_client);
-    let read_fast_path = batched.read_fast_path + unbatched.read_fast_path;
-    let (hb_per_sec_off, hb_off) = raft_heartbeat_phase(seed, false, cold_ranges);
-    let (hb_per_sec_on, hb_on) = raft_heartbeat_phase(seed, true, cold_ranges);
-    RaftProbeReport {
-        batched,
-        unbatched,
-        read_fast_path,
-        cold_ranges,
-        hb_per_sec_off,
-        hb_per_sec_on,
-        heartbeat_suppression: hb_off as f64 / hb_on.max(1) as f64,
-    }
-}
-
-/// Render the probe as the deterministic `BENCH_raft.json` document.
-pub fn raft_probe_json(r: &RaftProbeReport) -> String {
-    let phase = |p: &RaftPhase| {
-        format!(
-            "{{\"commands\": {}, \"entries\": {}, \"mean_occupancy\": {:.3}, \"proposals_per_sec\": {:.1}, \"txns\": {}, \"read_fast_path\": {}}}",
-            p.commands, p.entries, p.mean_occupancy, p.proposals_per_sec, p.txns, p.read_fast_path
-        )
-    };
-    format!(
-        "{{\n  \"batched\": {},\n  \"unbatched\": {},\n  \"read_fast_path\": {},\n  \"quiescence\": {{\"cold_ranges\": {}, \"hb_per_sec_off\": {:.1}, \"hb_per_sec_on\": {:.1}, \"suppression\": {:.1}}}\n}}\n",
-        phase(&r.batched),
-        phase(&r.unbatched),
-        r.read_fast_path,
-        r.cold_ranges,
-        r.hb_per_sec_off,
-        r.hb_per_sec_on,
-        r.heartbeat_suppression
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Range lifecycle probe (splits + load-based rebalancing)
-// ---------------------------------------------------------------------------
-
-/// One lifecycle phase: a skewed remote workload against a keyspace that
-/// starts as a single range homed far from its traffic.
-pub struct SplitPhase {
-    /// Transactions committed (fixed per phase; elapsed time varies).
-    pub txns: u64,
-    /// Transactions retried after a surgery- or lease-move-induced abort.
-    pub retries: u64,
-    /// Committed transactions per simulated second — the closed-loop
-    /// throughput the phase sustained.
-    pub ops_per_sec: f64,
-    /// Live ranges when the workload drained.
-    pub ranges: usize,
-    /// `range_split` / `range_merge` / `lease_rebalance` events during the
-    /// workload.
-    pub splits: usize,
-    pub merges: usize,
-    pub lease_rebalances: usize,
-    /// p99 of descriptor-surgery latency (propose → apply) in ms; 0 when
-    /// no split happened.
-    pub split_p99_ms: f64,
-    /// The hottest range's share of total QPS at drain time, in milli
-    /// (1000 = all load on one range — the static baseline by definition).
-    pub hottest_share_milli: u64,
-    /// Lifecycle ticks from workload start until the controller's last
-    /// action — how fast the topology converged.
-    pub convergence_ticks: u64,
-    /// Live ranges after a 90s idle tail: cold-range merges should fold
-    /// the split topology back down.
-    pub ranges_after_idle: usize,
-}
-
-/// The full probe: the same workload with the lifecycle controller off
-/// (static single range) and on (splits + rebalancing).
-pub struct SplitProbeReport {
-    pub baseline: SplitPhase,
-    pub lifecycle: SplitPhase,
-}
-
-/// The split-probe cluster: 3-region paper corner, one REGION-survivable
-/// range over the whole keyspace homed in region 0 — every client is in
-/// regions 1 and 2, so the static topology pays cross-region RTT on each
-/// op until the controller splits at the load median and moves each
-/// half's lease toward its demand.
-fn split_probe_cluster(seed: u64, lifecycle_on: bool) -> mr_kv::Cluster {
-    use mr_kv::cluster::{Cluster, ClusterConfig, LifecycleConfig};
-    use mr_kv::zone::{derive_zone_config, ClosedTsPolicy, PlacementPolicy, SurvivalGoal};
-
-    let regions = mr_sim::RttMatrix::paper_table1_regions();
-    let topo = mr_sim::Topology::build(
-        &regions[..3],
-        3,
-        mr_sim::RttMatrix::from_upper_millis(3, &[&[63, 87], &[132]]),
-    );
-    let mut c = Cluster::new(
-        topo,
-        ClusterConfig {
-            seed,
-            // Descriptor surgery drops in-flight requests to the old
-            // incarnation; they must time out and retry, not hang — and the
-            // stall is pure dead time, so keep it just above the worst RTT.
-            rpc_timeout: Some(SimDuration::from_millis(400)),
-            lifecycle: LifecycleConfig {
-                enabled: lifecycle_on,
-                // ~12 remote closed-loop clients sustain 50-100 qps on the
-                // single range; split well below that, and keep the
-                // rebalance floor low enough that each post-split half
-                // (half the traffic) still clears it. Tick and cooldown are
-                // tightened so convergence is a prefix of the run, not the
-                // whole run.
-                split_qps_milli: 40_000,
-                rebalance_min_qps_milli: 500,
-                interval: SimDuration::from_secs(1),
-                cooldown: SimDuration::from_secs(3),
-                ..LifecycleConfig::default()
-            },
-            ..ClusterConfig::default()
-        },
-    );
-    let db_regions: Vec<mr_sim::RegionId> = (0..3).map(mr_sim::RegionId).collect();
-    let zc = derive_zone_config(
-        mr_sim::RegionId(0),
-        &db_regions,
-        SurvivalGoal::Region,
-        PlacementPolicy::Default,
-        ClosedTsPolicy::Lag,
-    );
-    c.create_range(mr_proto::Span::all(), zc)
-        .expect("allocate range");
-    c
-}
-
-/// Drive closed-loop single-key read-write transactions, one txn per key
-/// in each client's list, retrying a txn from scratch when descriptor
-/// surgery or a lease move aborts it mid-flight. Returns `(committed,
-/// retries)`.
-fn drive_retry_txns(
-    c: &mut mr_kv::Cluster,
-    clients: Vec<(mr_sim::NodeId, Vec<mr_proto::Key>)>,
-) -> (u64, u64) {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    struct Probe {
-        gateway: mr_sim::NodeId,
-        remaining: Vec<mr_proto::Key>,
-        attempts: u32,
-        committed: Rc<RefCell<u64>>,
-        retries: Rc<RefCell<u64>>,
-    }
-
-    fn next_txn(c: &mut mr_kv::Cluster, st: Rc<RefCell<Probe>>) {
-        let (gateway, key) = {
-            let s = st.borrow();
-            match s.remaining.last() {
-                Some(k) => (s.gateway, k.clone()),
-                None => return,
-            }
-        };
-        let h = c.txn_begin(gateway);
-        let st2 = Rc::clone(&st);
-        let key2 = key.clone();
-        c.txn_get(
-            h,
-            key.clone(),
-            Box::new(move |c, res| match res {
-                Err(_) => retry(c, h, st2),
-                Ok(_) => {
-                    let st3 = Rc::clone(&st2);
-                    c.txn_put(
-                        h,
-                        key2,
-                        Some(mr_proto::Value::from("split-probe")),
-                        Box::new(move |c, res| match res {
-                            Err(_) => retry(c, h, st3),
-                            Ok(()) => {
-                                let st4 = Rc::clone(&st3);
-                                c.txn_commit(
-                                    h,
-                                    Box::new(move |c, res| match res {
-                                        Err(_) => retry(c, h, st4),
-                                        Ok(_) => {
-                                            {
-                                                let mut s = st4.borrow_mut();
-                                                s.remaining.pop();
-                                                s.attempts = 0;
-                                                *s.committed.borrow_mut() += 1;
-                                            }
-                                            next_txn(c, st4);
-                                        }
-                                    }),
-                                );
-                            }
-                        }),
-                    );
-                }
-            }),
-        );
-    }
-
-    fn retry(c: &mut mr_kv::Cluster, h: mr_kv::TxnHandle, st: Rc<RefCell<Probe>>) {
-        {
-            let mut s = st.borrow_mut();
-            s.attempts += 1;
-            *s.retries.borrow_mut() += 1;
-            assert!(
-                s.attempts < 50,
-                "split probe txn stuck: 50 aborts in a row at gateway {}",
-                s.gateway
-            );
-        }
-        c.txn_rollback(h, Box::new(move |c, _| next_txn(c, st)));
-    }
-
-    let committed = Rc::new(RefCell::new(0u64));
-    let retries = Rc::new(RefCell::new(0u64));
-    for (gateway, keys) in clients {
-        let st = Rc::new(RefCell::new(Probe {
-            gateway,
-            remaining: keys,
-            attempts: 0,
-            committed: committed.clone(),
-            retries: retries.clone(),
-        }));
-        next_txn(c, st);
-    }
-    let deadline = SimTime(c.now().nanos() + SimDuration::from_secs(1_200).nanos());
-    c.run_until_quiescent(deadline);
-    let n = *committed.borrow();
-    let r = *retries.borrow();
-    (n, r)
-}
-
-/// Run one phase: 2 clients on each node of regions 1 and 2, each
-/// committing `txns_per_client` single-key read-write transactions on its
-/// own small key set (`u1/...` sorts wholly before `u2/...`, so the load
-/// median falls on the region boundary).
-fn split_phase(seed: u64, lifecycle_on: bool, txns_per_client: usize) -> SplitPhase {
-    let mut c = split_probe_cluster(seed, lifecycle_on);
-    c.run_until(SimTime(SimDuration::from_secs(5).nanos()));
-    let mut clients = Vec::new();
-    for region in 1..3u32 {
-        for node in (region * 3)..(region * 3 + 3) {
-            for ci in 0..2u32 {
-                let keys: Vec<mr_proto::Key> = (0..txns_per_client)
-                    .map(|i| {
-                        mr_proto::Key::from(format!("u{region}/n{node}c{ci}k{}", i % 4).as_str())
-                    })
-                    .collect();
-                clients.push((mr_sim::NodeId(node), keys));
-            }
-        }
-    }
-    let expected = clients.len() * txns_per_client;
-    let t0 = c.now();
-    let (txns, retries) = drive_retry_txns(&mut c, clients);
-    assert_eq!(txns as usize, expected, "split probe txns went missing");
-    let drained = c.now();
-    let dt_secs = (drained.nanos() - t0.nanos()) as f64 / 1e9;
-
-    let hot = c.obs.load.hot_ranges(drained);
-    let total_qps: u64 = hot.iter().map(|s| s.qps_milli).sum();
-    let hottest_share_milli = hot
-        .first()
-        .map_or(1000, |s| s.qps_milli * 1000 / total_qps.max(1));
-    let mut lat: Vec<u64> = c.split_latencies().to_vec();
-    lat.sort_unstable();
-    let split_p99_ms = if lat.is_empty() {
-        0.0
-    } else {
-        lat[(lat.len() - 1).min(lat.len() * 99 / 100)] as f64 / 1e6
-    };
-    let convergence_ticks = c
-        .last_lifecycle_action()
-        .map_or(0, |t| t.0.saturating_sub(t0.0))
-        .div_ceil(c.cfg.lifecycle.interval.nanos().max(1));
-    let (splits, merges, lease_rebalances, ranges) = (
-        c.events.count_kind("range_split"),
-        c.events.count_kind("range_merge"),
-        c.events.count_kind("lease_rebalance"),
-        c.registry().len(),
-    );
-
-    // Idle tail: traffic is gone, so the halves go cold and the merge pass
-    // should fold the keyspace back down (and leases re-home).
-    c.run_until(SimTime(
-        drained.nanos() + SimDuration::from_secs(90).nanos(),
-    ));
-    SplitPhase {
-        txns,
-        retries,
-        ops_per_sec: txns as f64 / dt_secs,
-        ranges,
-        splits,
-        merges,
-        lease_rebalances,
-        split_p99_ms,
-        hottest_share_milli,
-        convergence_ticks,
-        ranges_after_idle: c.registry().len(),
-    }
-}
-
-/// Run the full split probe: static baseline vs lifecycle-enabled run of
-/// the same skewed remote workload. Deterministic for a fixed seed.
-pub fn split_probe(seed: u64, txns_per_client: usize) -> SplitProbeReport {
-    SplitProbeReport {
-        baseline: split_phase(seed, false, txns_per_client),
-        lifecycle: split_phase(seed, true, txns_per_client),
-    }
-}
-
-/// Render the probe as the deterministic `BENCH_split.json` document.
-pub fn split_probe_json(r: &SplitProbeReport) -> String {
-    let phase = |p: &SplitPhase| {
-        format!(
-            "{{\"txns\": {}, \"retries\": {}, \"ops_per_sec\": {:.1}, \"ranges\": {}, \"splits\": {}, \
-             \"merges\": {}, \"lease_rebalances\": {}, \"split_p99_ms\": {:.3}, \
-             \"hottest_share_milli\": {}, \"convergence_ticks\": {}, \"ranges_after_idle\": {}}}",
-            p.txns,
-            p.retries,
-            p.ops_per_sec,
-            p.ranges,
-            p.splits,
-            p.merges,
-            p.lease_rebalances,
-            p.split_p99_ms,
-            p.hottest_share_milli,
-            p.convergence_ticks,
-            p.ranges_after_idle
-        )
-    };
-    format!(
-        "{{\n  \"baseline\": {},\n  \"lifecycle\": {},\n  \"speedup\": {:.3}\n}}\n",
-        phase(&r.baseline),
-        phase(&r.lifecycle),
-        r.lifecycle.ops_per_sec / r.baseline.ops_per_sec.max(1e-9)
-    )
-}
-
-/// Render probe rows as the deterministic `BENCH_commit.json` document.
-pub fn commit_probe_json(rows: &[CommitRow]) -> String {
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\n      \"gateway_region\": \"{}\",\n      \"scenario\": \"{}\",\n      \"rtt_ms\": {:.3},\n      \"legacy\": {{\"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"n\": {}}},\n      \"pipelined\": {{\"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"n\": {}}}\n    }}",
-                r.gateway_region,
-                r.scenario,
-                r.rtt_ms,
-                r.legacy.p50_ms,
-                r.legacy.p99_ms,
-                r.legacy.n,
-                r.pipelined.p50_ms,
-                r.pipelined.p99_ms,
-                r.pipelined.n
-            )
-        })
-        .collect();
-    format!("{{\n  \"rows\": [\n{}\n  ]\n}}\n", body.join(",\n"))
-}
-
-// ---------------------------------------------------------------------------
-// Observability probe (per-range load telemetry + latency attribution)
-// ---------------------------------------------------------------------------
-
-/// Open-loop read rate the skew phase drives at the hot range (ops/sec).
-pub const OBS_READ_HZ: u64 = 50;
-/// Open-loop write rate the skew phase drives at the warm range (ops/sec).
-pub const OBS_WRITE_HZ: u64 = 5;
-
-/// Everything the obs probe measures, plus the deterministic exports the
-/// golden test pins byte-for-byte.
-pub struct ObsProbeReport {
-    /// Range id of the deliberately skewed (hot) range.
-    pub hot_range: u64,
-    /// Range id of the background (warm) write range.
-    pub warm_range: u64,
-    /// The rate the skew phase drove at the hot range, milli-qps.
-    pub driven_qps_milli: u64,
-    /// `LoadRecorder::hot_ranges` snapshot taken right as the skew ends.
-    pub hot: Vec<mr_obs::RangeLoadSnapshot>,
-    /// `kv.txn.commits` growth expected over the steady window, milli/sec.
-    pub expected_commit_rate_milli: i64,
-    /// The same rate as the tsdb reports it at each resolution.
-    pub commit_rate_fine_milli: i64,
-    pub commit_rate_coarse_milli: i64,
-    /// Retained in-window samples at each resolution.
-    pub fine_samples: usize,
-    pub coarse_samples: usize,
-    /// Latency-attribution sums over every retained transaction record.
-    pub attr_txns: usize,
-    pub attr_total_nanos: u64,
-    /// Nanos charged to a named component (rpc, replication, lock-wait,
-    /// commit-wait, retry) — the rest is `other`.
-    pub attr_named_nanos: u64,
-    pub attr_other_nanos: u64,
-    /// Registry cardinality after the run (the CI budget gate input).
-    pub instrument_count: usize,
-    /// Deterministic exports embedded into `BENCH_obs.json`.
-    pub hot_ranges_json: String,
-    pub slow_txns_json: String,
-    pub metrics_history_json: String,
-}
-
-impl ObsProbeReport {
-    /// Share of end-to-end transaction latency the named attribution
-    /// components explain (the acceptance gate wants ≥ 0.95).
-    pub fn named_fraction(&self) -> f64 {
-        if self.attr_total_nanos == 0 {
-            return 0.0;
-        }
-        self.attr_named_nanos as f64 / self.attr_total_nanos as f64
-    }
-}
-
-/// Drive the load-telemetry pipeline end to end: an open-loop read skew
-/// at one range (plus a 10x-slower write trickle at a second), then a
-/// closed-loop batch of multi-range write transactions for attribution.
-/// Deterministic for a fixed seed.
-pub fn obs_probe(seed: u64, skew_secs: u64, write_txns: usize) -> ObsProbeReport {
-    use mr_kv::cluster::{Cluster, ClusterConfig};
-    use mr_kv::zone::{derive_zone_config, ClosedTsPolicy, PlacementPolicy, SurvivalGoal};
-    use mr_obs::Resolution;
-
-    assert!(skew_secs >= 10, "skew phase too short to settle the EWMA");
-    let regions = mr_sim::RttMatrix::paper_table1_regions();
-    let topo = mr_sim::Topology::build(
-        &regions[..3],
-        3,
-        mr_sim::RttMatrix::from_upper_millis(3, &[&[63, 87], &[132]]),
-    );
-    let mut c = Cluster::new(
-        topo,
-        ClusterConfig {
-            seed,
-            ..ClusterConfig::default()
-        },
-    );
-    let db_regions: Vec<mr_sim::RegionId> = (0..3).map(mr_sim::RegionId).collect();
-    let alloc = |c: &mut Cluster, start: &str, end: &str| {
-        let zc = derive_zone_config(
-            mr_sim::RegionId(0),
-            &db_regions,
-            SurvivalGoal::Zone,
-            PlacementPolicy::Default,
-            ClosedTsPolicy::Lag,
-        );
-        c.create_range(
-            mr_proto::Span::new(mr_proto::Key::from(start), mr_proto::Key::from(end)),
-            zc,
-        )
-        .expect("allocate range")
-    };
-    let hot_range = alloc(&mut c, "zs/", "zs0");
-    let warm_range = alloc(&mut c, "za/", "za0");
-    c.run_until(SimTime(SimDuration::from_secs(3).nanos()));
-
-    // Skew phase: point reads at `zs/hot` every 1/OBS_READ_HZ seconds of
-    // sim time, with a write to the warm range every OBS_WRITE_HZ-th tick.
-    // Each op is its own (read-only or single-write) transaction so the
-    // commit counter grows at exactly OBS_READ_HZ + OBS_WRITE_HZ per
-    // second over the steady window.
-    let gw = mr_sim::NodeId(0);
-    let t0 = c.now();
-    let ticks = skew_secs * OBS_READ_HZ;
-    for i in 0..ticks {
-        c.run_until(SimTime(t0.nanos() + i * 1_000_000_000 / OBS_READ_HZ));
-        let h = c.txn_begin(gw);
-        c.txn_get(
-            h,
-            mr_proto::Key::from("zs/hot"),
-            Box::new(move |c, res| {
-                res.unwrap_or_else(|e| panic!("probe read failed: {e}"));
-                c.txn_commit(
-                    h,
-                    Box::new(|_, res| {
-                        res.unwrap_or_else(|e| panic!("probe ro commit failed: {e}"));
-                    }),
-                );
-            }),
-        );
-        if i % (OBS_READ_HZ / OBS_WRITE_HZ) == 0 {
-            let h = c.txn_begin(gw);
-            let key = mr_proto::Key::from(format!("za/w{i}").as_str());
-            c.txn_put(
-                h,
-                key,
-                Some(mr_proto::Value::from("obs-probe")),
-                Box::new(move |c, res| {
-                    res.unwrap_or_else(|e| panic!("probe write failed: {e}"));
-                    c.txn_commit(
-                        h,
-                        Box::new(|_, res| {
-                            res.unwrap_or_else(|e| panic!("probe rw commit failed: {e}"));
-                        }),
-                    );
-                }),
-            );
-        }
-    }
-    let t_skew_end = SimTime(t0.nanos() + skew_secs * 1_000_000_000);
-    c.run_until(t_skew_end);
-    c.run_until_quiescent(SimTime(
-        c.now().nanos() + SimDuration::from_secs(60).nanos(),
-    ));
-
-    // Snapshot the heat ranking right as the skew ends, before idling
-    // decays it away.
-    let hot = c.obs.load.hot_ranges(c.now());
-
-    // Counter rates over the interior of the skew window (2s trimmed from
-    // each edge so ramp-up scrapes don't bias the delta), at both
-    // resolutions.
-    let wfrom = SimTime(t0.nanos() + 2_000_000_000);
-    let wto = SimTime(t_skew_end.nanos() - 2_000_000_000);
-    let commit_rate_fine_milli = c
-        .obs
-        .tsdb
-        .rate_milli("kv.txn.commits", Resolution::Fine, wfrom, wto)
-        .unwrap_or(0);
-    let commit_rate_coarse_milli = c
-        .obs
-        .tsdb
-        .rate_milli("kv.txn.commits", Resolution::Coarse, wfrom, wto)
-        .unwrap_or(0);
-    let fine_samples = c
-        .obs
-        .tsdb
-        .window("kv.txn.commits", Resolution::Fine, wfrom, wto)
-        .len();
-    let coarse_samples = c
-        .obs
-        .tsdb
-        .window("kv.txn.commits", Resolution::Coarse, wfrom, wto)
-        .len();
-
-    // Attribution phase: closed-loop multi-range write transactions (the
-    // kind whose latency the paper dissects — intent replication plus the
-    // parallel-commit record).
-    let shapes: Vec<Vec<mr_proto::Key>> = (0..write_txns)
-        .map(|i| {
-            vec![
-                mr_proto::Key::from(format!("zs/b{i}").as_str()),
-                mr_proto::Key::from(format!("za/b{i}").as_str()),
-            ]
-        })
-        .collect();
-    let samples = drive_commit_txns(&mut c, gw, shapes);
-    assert_eq!(samples.len(), write_txns, "probe txns went missing");
-
-    let (mut total, mut named) = (0u64, 0u64);
-    let records = c.attr_log.records();
-    for r in &records {
-        total += r.breakdown.total_nanos;
-        named += r.breakdown.comp_nanos.iter().sum::<u64>();
-    }
-    c.scrape_now();
-
-    let now = c.now();
-    ObsProbeReport {
-        hot_range: hot_range.0,
-        warm_range: warm_range.0,
-        driven_qps_milli: OBS_READ_HZ * 1000,
-        expected_commit_rate_milli: ((OBS_READ_HZ + OBS_WRITE_HZ) * 1000) as i64,
-        commit_rate_fine_milli,
-        commit_rate_coarse_milli,
-        fine_samples,
-        coarse_samples,
-        attr_txns: records.len(),
-        attr_total_nanos: total,
-        attr_named_nanos: named,
-        attr_other_nanos: total - named,
-        instrument_count: c.obs.registry.instrument_count(),
-        hot_ranges_json: c.obs.load.export_json(now, 10),
-        slow_txns_json: c.attr_log.export_json(20),
-        metrics_history_json: c.obs.tsdb.export_json(&[
-            "kv.txn.commits",
-            "kv.attr.slow_txn_records",
-            "kv.load.tracked_ranges",
-        ]),
-        hot,
-    }
-}
-
-/// Render the probe as the deterministic `BENCH_obs.json` document.
-pub fn obs_probe_json(r: &ObsProbeReport) -> String {
-    let hot_rows: Vec<String> = r
-        .hot
-        .iter()
-        .take(5)
-        .map(|s| {
-            format!(
-                "{{\"range\": {}, \"qps_milli\": {}, \"read_qps_milli\": {}, \"write_qps_milli\": {}, \"write_bytes_per_sec\": {}, \"mean_latency_nanos\": {}}}",
-                s.range,
-                s.qps_milli,
-                s.read_qps_milli,
-                s.write_qps_milli,
-                s.write_bytes_per_sec,
-                s.mean_latency_nanos
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"skew\": {{\"hot_range\": {}, \"warm_range\": {}, \"driven_qps_milli\": {}, \"hot_ranges\": [{}]}},\n  \"rates\": {{\"expected_milli\": {}, \"fine_milli\": {}, \"coarse_milli\": {}, \"fine_samples\": {}, \"coarse_samples\": {}}},\n  \"attribution\": {{\"txns\": {}, \"total_nanos\": {}, \"named_nanos\": {}, \"other_nanos\": {}, \"named_fraction\": {:.4}}},\n  \"instrument_count\": {},\n  \"slow_txns\": {},\n  \"hot_ranges_export\": {},\n  \"metrics_history\": {}}}\n",
-        r.hot_range,
-        r.warm_range,
-        r.driven_qps_milli,
-        hot_rows.join(", "),
-        r.expected_commit_rate_milli,
-        r.commit_rate_fine_milli,
-        r.commit_rate_coarse_milli,
-        r.fine_samples,
-        r.coarse_samples,
-        r.attr_txns,
-        r.attr_total_nanos,
-        r.attr_named_nanos,
-        r.attr_other_nanos,
-        r.named_fraction(),
-        r.instrument_count,
-        r.slow_txns_json.trim_end(),
-        r.hot_ranges_json.trim_end(),
-        r.metrics_history_json.trim_end()
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Storage probe (WAL / LSM / GC durability engine)
-// ---------------------------------------------------------------------------
-
-/// Everything the storage probe measures against the durable engine: bloom
-/// effectiveness on a cold-key read workload, GC reclamation on an
-/// overwrite-heavy workload under an active protected timestamp, and a
-/// crash-recovery smoke over the resulting state.
-pub struct StorageProbeReport {
-    /// Immutable sorted runs the cold-key phase built (one per flush).
-    pub bloom_runs: usize,
-    /// Point lookups issued in the measured read phase.
-    pub bloom_lookups: u64,
-    /// Per-run probes those lookups triggered.
-    pub bloom_probes: u64,
-    /// Probes answered by the bloom filter without touching run entries.
-    pub bloom_skips: u64,
-    /// `bloom_skips / bloom_probes` in milli (gate: >= 900).
-    pub bloom_skip_milli: u64,
-    /// Committed versions the overwrite phase wrote.
-    pub gc_versions_written: usize,
-    /// Versions resident before the first maintenance pass.
-    pub gc_versions_before: usize,
-    /// Versions resident after GC under the active protection.
-    pub gc_versions_protected: usize,
-    /// Versions resident after the protection is released and GC reruns.
-    pub gc_versions_after: usize,
-    /// Share of `gc_versions_before` reclaimed while the protection was
-    /// still active, in milli (gate: >= 500).
-    pub gc_reclaim_milli: u64,
-    /// An AOST read at the protected timestamp returned the right value
-    /// *after* GC ran up to it (gate: true).
-    pub protected_read_ok: bool,
-    /// A read below the ratcheted threshold failed with
-    /// `BelowGcThreshold` rather than returning silently-incomplete data
-    /// (gate: true).
-    pub below_threshold_read_errors: bool,
-    /// WAL records replayed by the closing crash-recovery smoke.
-    pub wal_replayed: u64,
-    /// Versions visible after recovery (must equal `gc_versions_after`).
-    pub recovered_versions: usize,
-}
-
-/// Drive the storage engine the way a replica does — put intent, commit
-/// it, seal the Raft entry into the WAL, fsync — one write per entry.
-fn storage_commit(
-    eng: &mut mr_storage::Engine,
-    key: &mr_proto::Key,
-    value: &str,
-    ts: mr_clock::Timestamp,
-    idx: &mut u64,
-) {
-    use mr_proto::{TxnId, TxnMeta};
-    let txn = TxnMeta::new(TxnId(*idx), key.clone(), ts);
-    eng.put(key, Some(mr_proto::Value::from(value)), &txn)
-        .expect("probe writes never conflict");
-    eng.commit_intent(key, txn.id, ts);
-    eng.seal_entry(*idx, ts);
-    eng.sync(ts.wall);
-    *idx += 1;
-}
-
-/// Run the storage probe. Deterministic for a fixed seed: the seed only
-/// shuffles the cold-key lookup order, never the data.
-pub fn storage_probe(seed: u64) -> StorageProbeReport {
-    use mr_clock::Timestamp;
-    use mr_proto::{Key, ReadCtx};
-    use mr_storage::{gc_threshold, Engine, MvccError, ProtectedTimestamps};
-
-    let ns = 1_000_000_000u64;
-
-    // ---- Workload A: cold keys spread over many sorted runs ----------
-    //
-    // 12 flushes of 64 disjoint keys each: every point lookup must
-    // consult all 12 runs, and the bloom filters should answer all but
-    // the (at most one) run actually holding the key.
-    let mut eng = Engine::new();
-    let mut idx = 1u64;
-    let runs = 12usize;
-    let per_run = 64usize;
-    for r in 0..runs {
-        for i in 0..per_run {
-            let key = Key::from(format!("cold/{r:02}/{i:04}").as_str());
-            let ts = Timestamp::new(idx * ns, 0);
-            storage_commit(&mut eng, &key, "cold", ts, &mut idx);
-        }
-        eng.flush(idx * ns);
-    }
-    assert_eq!(eng.mem_version_count(), 0, "flushes drained the memtable");
-
-    // Measured read phase: every present key once plus an equal volume
-    // of absent keys, in seeded order.
-    let mut lookups: Vec<Key> = Vec::new();
-    for r in 0..runs {
-        for i in 0..per_run {
-            lookups.push(Key::from(format!("cold/{r:02}/{i:04}").as_str()));
-            lookups.push(Key::from(format!("cold/{r:02}/absent-{i:04}").as_str()));
-        }
-    }
-    let mut rng = SimRng::seed_from_u64(seed ^ 0x0570_4a6e);
-    for i in (1..lookups.len()).rev() {
-        let j = rng.index(i + 1);
-        lookups.swap(i, j);
-    }
-    let probes0 = eng.stats().bloom_probes.get();
-    let skips0 = eng.stats().bloom_skips.get();
-    let read_ts = Timestamp::new(idx * ns, 0);
-    let ctx = ReadCtx::fresh(read_ts, read_ts);
-    let mut hits = 0u64;
-    for key in &lookups {
-        let out = eng
-            .get(key, &ctx)
-            .expect("cold reads are above the GC floor");
-        hits += u64::from(out.value.is_some());
-    }
-    assert_eq!(hits as usize, runs * per_run, "every present key was found");
-    let bloom_probes = eng.stats().bloom_probes.get() - probes0;
-    let bloom_skips = eng.stats().bloom_skips.get() - skips0;
-    let bloom_skip_milli = bloom_skips * 1000 / bloom_probes.max(1);
-
-    // ---- Workload B: overwrite-heavy GC under a protection -----------
-    //
-    // 50 keys, 40 committed versions each. An AOST reader pins round 30;
-    // GC driven by the closed-timestamp frontier reclaims everything the
-    // protection does not need, the pinned read still succeeds, and a
-    // read below the ratcheted threshold errors.
-    let mut eng = Engine::new();
-    let mut idx = 1u64;
-    let keys = 50usize;
-    let rounds = 40u64;
-    let mut protected = ProtectedTimestamps::new();
-    let mut pin = None;
-    let mut pin_ts = Timestamp::ZERO;
-    for round in 0..rounds {
-        let ts = Timestamp::new((round + 1) * ns, 0);
-        if round == 30 {
-            pin = Some(protected.protect(ts));
-            pin_ts = ts;
-        }
-        for k in 0..keys {
-            let key = Key::from(format!("hot/{k:03}").as_str());
-            storage_commit(&mut eng, &key, &format!("v{round}"), ts, &mut idx);
-        }
-    }
-    let gc_versions_written = keys * rounds as usize;
-    let gc_versions_before = eng.version_count();
-    let now = (rounds + 2) * ns;
-    let closed = eng.closed_ts();
-
-    // GC with the protection active: a 1s TTL would allow the threshold
-    // up to `now - 1s`, but the pin clamps it to round 30.
-    let th = gc_threshold(now, ns, closed, protected.min());
-    assert_eq!(th, pin_ts, "the protection clamps the threshold");
-    eng.maintain(th, now);
-    let gc_versions_protected = eng.version_count();
-    let reclaimed = gc_versions_before - gc_versions_protected;
-    let gc_reclaim_milli = reclaimed as u64 * 1000 / gc_versions_before.max(1) as u64;
-
-    // The pinned AOST read still sees round 30's value on every key.
-    let ctx = ReadCtx::fresh(pin_ts, pin_ts);
-    let protected_read_ok = (0..keys).all(|k| {
-        let key = Key::from(format!("hot/{k:03}").as_str());
-        matches!(
-            eng.get(&key, &ctx),
-            Ok(out) if out.value == Some(mr_proto::Value::from("v30"))
-        )
-    });
-
-    // A read below the threshold must fail loudly, never return a
-    // silently-incomplete snapshot.
-    let stale = Timestamp::new(10 * ns, 0);
-    let below_threshold_read_errors = matches!(
-        eng.get(&Key::from("hot/000"), &ReadCtx::fresh(stale, stale)),
-        Err(MvccError::BelowGcThreshold { .. })
-    );
-
-    // Release the pin: the next pass may advance to the closed frontier
-    // and fold history down to one live version per key.
-    if let Some(id) = pin {
-        protected.release(id);
-    }
-    let th2 = gc_threshold(now, ns, closed, protected.min());
-    eng.maintain(th2, now);
-    let gc_versions_after = eng.version_count();
-
-    // ---- Crash-recovery smoke over the GC'd engine -------------------
-    let info = eng.crash_and_recover();
-    let recovered_versions = eng.version_count();
-
-    StorageProbeReport {
-        bloom_runs: runs,
-        bloom_lookups: lookups.len() as u64,
-        bloom_probes,
-        bloom_skips,
-        bloom_skip_milli,
-        gc_versions_written,
-        gc_versions_before,
-        gc_versions_protected,
-        gc_versions_after,
-        gc_reclaim_milli,
-        protected_read_ok,
-        below_threshold_read_errors,
-        wal_replayed: info.replayed_records,
-        recovered_versions,
-    }
-}
-
-/// Render the probe as the deterministic `BENCH_storage.json` document.
-pub fn storage_probe_json(r: &StorageProbeReport) -> String {
-    format!(
-        "{{\n  \"bloom\": {{\"runs\": {}, \"lookups\": {}, \"probes\": {}, \"skips\": {}, \"skip_milli\": {}}},\n  \"gc\": {{\"versions_written\": {}, \"versions_before\": {}, \"versions_protected\": {}, \"versions_after\": {}, \"reclaim_milli\": {}, \"protected_read_ok\": {}, \"below_threshold_read_errors\": {}}},\n  \"recovery\": {{\"wal_replayed\": {}, \"recovered_versions\": {}}}\n}}\n",
-        r.bloom_runs,
-        r.bloom_lookups,
-        r.bloom_probes,
-        r.bloom_skips,
-        r.bloom_skip_milli,
-        r.gc_versions_written,
-        r.gc_versions_before,
-        r.gc_versions_protected,
-        r.gc_versions_after,
-        r.gc_reclaim_milli,
-        r.protected_read_ok,
-        r.below_threshold_read_errors,
-        r.wal_replayed,
-        r.recovered_versions
-    )
 }

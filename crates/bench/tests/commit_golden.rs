@@ -2,14 +2,14 @@
 //! must carry the expected schema and be byte-identical across same-seed
 //! runs (the determinism contract every BENCH_*.json export obeys).
 
-use mr_bench::{commit_probe, commit_probe_json};
+use mr_bench::probe::{commit_probe, ProbeReport};
 
 #[test]
 fn commit_probe_export_has_expected_schema() {
-    let rows = commit_probe(7, 4);
+    let report = commit_probe(7, 4);
     // 3 scenarios × 3 gateway regions.
-    assert_eq!(rows.len(), 9);
-    let json = commit_probe_json(&rows);
+    assert_eq!(report.rows.len(), 9);
+    let json = report.json();
     for key in [
         "\"rows\"",
         "\"gateway_region\"",
@@ -36,7 +36,7 @@ fn commit_probe_export_has_expected_schema() {
     // Sanity on the measured structure: every cell recorded all txns, and
     // the pipelined multi-range commit beat the legacy one from every
     // remote gateway.
-    for r in &rows {
+    for r in &report.rows {
         assert_eq!(r.legacy.n, 4);
         assert_eq!(r.pipelined.n, 4);
         if r.scenario == "multi" && r.rtt_ms > 1.0 {
@@ -54,7 +54,7 @@ fn commit_probe_export_has_expected_schema() {
 
 #[test]
 fn commit_probe_export_is_deterministic_across_same_seed_runs() {
-    let a = commit_probe_json(&commit_probe(3, 3));
-    let b = commit_probe_json(&commit_probe(3, 3));
+    let a = commit_probe(3, 3).json();
+    let b = commit_probe(3, 3).json();
     assert_eq!(a, b, "same-seed exports diverged");
 }

@@ -2,17 +2,17 @@
 //! must carry the expected schema, show the heat-ranking and attribution
 //! structure the probe exists to guard, and be byte-identical across
 //! same-seed runs (the determinism contract every BENCH_*.json export
-//! obeys — here it also pins the new `hot_ranges` / `metrics_history` /
+//! obeys — here it also pins the `hot_ranges` / `metrics_history` /
 //! `slow_txns` exports).
 
-use mr_bench::{obs_probe, obs_probe_json, OBS_READ_HZ, OBS_WRITE_HZ};
+use mr_bench::probe::{obs_probe, ProbeReport, OBS_READ_HZ, OBS_WRITE_HZ};
 
 #[test]
 fn obs_probe_export_has_expected_schema_and_structure() {
     // 40 sim-seconds = four EWMA half-lives: the decayed rate converges to
     // within ~6% of the driven rate, inside the 10% gate.
     let r = obs_probe(7, 40, 8);
-    let json = obs_probe_json(&r);
+    let json = r.json();
     for key in [
         "\"skew\"",
         "\"hot_range\"",
@@ -69,7 +69,7 @@ fn obs_probe_export_has_expected_schema_and_structure() {
 
 #[test]
 fn obs_probe_export_is_deterministic_across_same_seed_runs() {
-    let a = obs_probe_json(&obs_probe(3, 15, 5));
-    let b = obs_probe_json(&obs_probe(3, 15, 5));
+    let a = obs_probe(3, 15, 5).json();
+    let b = obs_probe(3, 15, 5).json();
     assert_eq!(a, b, "same-seed exports diverged");
 }

@@ -3,12 +3,12 @@
 //! probe exists to guard, and be byte-identical across same-seed runs
 //! (the determinism contract every BENCH_*.json export obeys).
 
-use mr_bench::{raft_probe, raft_probe_json};
+use mr_bench::probe::{raft_probe, ProbeReport};
 
 #[test]
 fn raft_probe_export_has_expected_schema_and_structure() {
     let r = raft_probe(7, 6, 20);
-    let json = raft_probe_json(&r);
+    let json = r.json();
     for key in [
         "\"batched\"",
         "\"unbatched\"",
@@ -47,7 +47,7 @@ fn raft_probe_export_has_expected_schema_and_structure() {
 
 #[test]
 fn raft_probe_export_is_deterministic_across_same_seed_runs() {
-    let a = raft_probe_json(&raft_probe(3, 4, 10));
-    let b = raft_probe_json(&raft_probe(3, 4, 10));
+    let a = raft_probe(3, 4, 10).json();
+    let b = raft_probe(3, 4, 10).json();
     assert_eq!(a, b, "same-seed exports diverged");
 }

@@ -83,7 +83,7 @@ pub struct ClusterConfig {
     pub raft_flush_interval: SimDuration,
     /// Range quiescence: a leader with nothing in flight and fully
     /// caught-up followers stops heartbeating until the next proposal (or
-    /// leadership doubt) wakes it. On by default; the `raft_probe` bench
+    /// leadership doubt) wakes it. On by default; the `raft` probe
     /// turns it off for the A/B heartbeat-rate comparison.
     pub raft_quiescence: bool,
     /// Print one line per request evaluation (debugging).
@@ -97,10 +97,6 @@ pub struct ClusterConfig {
     /// shadowed versions below the threshold are reclaimed at the next
     /// flush/compaction.
     pub gc_interval: SimDuration,
-    /// Legacy cluster-wide GC TTL. Superseded by the per-range
-    /// [`ZoneConfig::gc_ttl`] zone knob, which is what the GC pass reads;
-    /// retained for configs that predate per-range TTLs.
-    pub gc_ttl: SimDuration,
     /// Record structured trace spans from construction on (equivalent to
     /// `cluster.obs.tracer.set_enabled(true)` right after `new`).
     pub tracing: bool,
@@ -190,7 +186,6 @@ impl Default for ClusterConfig {
             trace: std::env::var("MR_TRACE").is_ok(),
             lead_slack_override: None,
             gc_interval: SimDuration::from_secs(60),
-            gc_ttl: SimDuration::from_secs(30),
             tracing: false,
             obs_scrape_interval: Some(SimDuration::from_secs(1)),
             strict_monitors: true,

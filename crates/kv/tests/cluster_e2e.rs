@@ -7,7 +7,7 @@ use std::rc::Rc;
 
 use mr_clock::Timestamp;
 use mr_kv::cluster::{Cluster, ClusterConfig, ReadOptions, Staleness};
-use mr_kv::zone::{derive_zone_config, ClosedTsPolicy, PlacementPolicy, SurvivalGoal};
+use mr_kv::zone::{derive_zone_config, ClosedTsPolicy, PlacementPolicy, SurvivalGoal, ZoneConfig};
 use mr_proto::{Key, KvError, Span, Value};
 use mr_sim::{NodeId, RegionId, RttMatrix, SimDuration, SimTime, Topology};
 
@@ -785,17 +785,19 @@ fn excessive_clock_skew_permits_stale_reads_but_not_corruption() {
 fn gc_collects_old_versions_without_breaking_reads() {
     let cfg = ClusterConfig {
         gc_interval: SimDuration::from_secs(10),
-        gc_ttl: SimDuration::from_secs(15),
         ..ClusterConfig::default()
     };
     let mut c = cluster(cfg);
-    let zc = derive_zone_config(
-        US_EAST,
-        &all_regions(),
-        SurvivalGoal::Zone,
-        PlacementPolicy::Default,
-        ClosedTsPolicy::Lag,
-    );
+    let zc = ZoneConfig {
+        gc_ttl: SimDuration::from_secs(15),
+        ..derive_zone_config(
+            US_EAST,
+            &all_regions(),
+            SurvivalGoal::Zone,
+            PlacementPolicy::Default,
+            ClosedTsPolicy::Lag,
+        )
+    };
     c.create_range(Span::all(), zc).unwrap();
     c.run_until(SimTime(SimDuration::from_secs(2).nanos()));
     // Ten versions of the same key over 10 seconds.

@@ -11,7 +11,7 @@
 //!   appends a [`Violation`] to an in-memory log (deterministic order:
 //!   violations are appended in sim-event order);
 //! * in **strict** mode a failure panics immediately with the invariant
-//!   name and detail, so the tier-1 suite and `perf_probe` turn any
+//!   name and detail, so the tier-1 suite and the CI probes turn any
 //!   invariant regression into a hard failure.
 //!
 //! Cloning shares the underlying state, mirroring the other `mr-obs`

@@ -82,7 +82,7 @@ pub struct RaftConfig {
     pub election_timeout: SimDuration,
     pub heartbeat_interval: SimDuration,
     /// Allow idle ranges to quiesce (stop heartbeating). Disable for A/B
-    /// heartbeat-rate measurements (`raft_probe`).
+    /// heartbeat-rate measurements (the `raft` probe).
     pub quiesce: bool,
 }
 

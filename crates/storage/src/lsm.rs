@@ -725,18 +725,6 @@ impl Engine {
         }
     }
 
-    /// Legacy direct-GC entry point (tests): ratchet the threshold and
-    /// reclaim without flushing or checkpointing.
-    pub fn gc(&mut self, threshold: Timestamp) -> usize {
-        self.gc_threshold = self.gc_threshold.max(threshold);
-        let mut removed = self.mem.gc_with(self.gc_threshold, self.runs.is_empty());
-        if !self.runs.is_empty() {
-            removed += self.compact_internal();
-        }
-        self.stats.gc_reclaimed += removed as u64;
-        removed
-    }
-
     // ------------------------------------------------------------------
     // Range surgery
     // ------------------------------------------------------------------

@@ -14,98 +14,28 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> strict-monitor perf_probe smoke"
-# Short probe run with every online invariant monitor escalated to a panic:
-# a closed-timestamp regression, an over-fresh follower read, a short commit
-# wait, or a non-conforming placement fails CI here.
+echo "==> probe: every CI probe at default scale"
+# Runs all seven probes (perf, chaos, commit, raft, obs, split, storage)
+# with every online invariant monitor escalated to a panic. What each one
+# guards is documented on its report's `gate` in crates/bench/src/probe/;
+# any failed gate fails CI here. A chaos checker violation also writes its
+# incident bundle to incident_seed<N>/ and names it.
 ROOT="$(pwd)"
-SMOKE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR"' EXIT
+PROBE_DIR="$(mktemp -d)"
+trap 'rm -rf "$PROBE_DIR"' EXIT
+(cd "$PROBE_DIR" && cargo run -q --release --manifest-path "$ROOT/Cargo.toml" -p mr-bench --bin probe)
 
-# Every probe must leave its BENCH_<name>.json behind, and the file must be
-# well-formed JSON — a probe that silently stops writing results would
-# otherwise pass CI while producing nothing.
-assert_bench() {
-    local probe="$1" file="$SMOKE_DIR/$2"
-    if [ ! -s "$file" ]; then
-        echo "FAIL: $probe did not write $2" >&2
-        exit 1
-    fi
-    if command -v python3 >/dev/null; then
-        python3 -m json.tool "$file" >/dev/null \
-            || { echo "FAIL: $probe wrote malformed JSON to $2" >&2; exit 1; }
-    elif command -v jq >/dev/null; then
-        jq . "$file" >/dev/null \
-            || { echo "FAIL: $probe wrote malformed JSON to $2" >&2; exit 1; }
-    fi
-}
-
-(cd "$SMOKE_DIR" && OPS=50 MR_STRICT_MONITORS=1 \
-    cargo run -q --release --manifest-path "$ROOT/Cargo.toml" -p mr-bench --bin perf_probe >/dev/null)
-assert_bench perf_probe BENCH_perf.json
-
-echo "==> chaos_smoke: seeded nemesis schedules + history checker"
-# Five fixed-seed fault schedules through the full chaos harness with every
-# online invariant monitor escalated to a panic. The offline checker gates
-# too: any serializability/recency/availability violation fails CI with the
-# seed and schedule step named.
-# On a violation the probe exits nonzero after writing the incident bundle
-# directory and printing its path (see chaos_probe.rs).
-(cd "$SMOKE_DIR" && MR_STRICT_MONITORS=1 \
-    cargo run -q --release --manifest-path "$ROOT/Cargo.toml" -p mr-bench --bin chaos_probe >/dev/null)
-assert_bench chaos_probe BENCH_chaos.json
-
-echo "==> commit_probe: parallel-commit round-trip regression guard"
-# Measures begin→commit-ack latency per gateway region under legacy vs
-# pipelined+parallel commits and fails if the round-trip structure
-# regresses: multi-range commits must cost ~1 WAN RTT pipelined (~2
-# legacy), and pipelining must never be slower than the legacy path.
-(cd "$SMOKE_DIR" && MR_COMMIT_TXNS=10 \
-    cargo run -q --release --manifest-path "$ROOT/Cargo.toml" -p mr-bench --bin commit_probe >/dev/null)
-assert_bench commit_probe BENCH_commit.json
-
-echo "==> raft_probe: group-commit occupancy + quiescence regression guard"
-# Drives concurrent multi-range writers through a batched-proposal flush
-# window and measures idle heartbeat rates over 100 cold ranges. Fails if
-# mean batch occupancy sinks toward one command per entry, if the flush
-# window costs real throughput, if quiescence stops suppressing idle
-# heartbeats by >=10x, or if leaseholder reads stop riding the fast path.
-(cd "$SMOKE_DIR" && MR_RAFT_TXNS=20 \
-    cargo run -q --release --manifest-path "$ROOT/Cargo.toml" -p mr-bench --bin raft_probe >/dev/null)
-assert_bench raft_probe BENCH_raft.json
-
-echo "==> obs_probe: load-telemetry + attribution + metrics-cardinality guard"
-# Drives a known open-loop skew and fails if the hot-range ranking or its
-# decayed QPS drifts >10% from the driven rate, if the windowed tsdb
-# mis-reports the commit rate at either resolution, if the named latency
-# attribution components stop explaining >=95% of end-to-end transaction
-# latency, or if registry cardinality exceeds the budget (per-range load
-# must stay in the LoadRecorder, never as per-range registry instruments).
-(cd "$SMOKE_DIR" && MR_OBS_SKEW_SECS=40 MR_OBS_TXNS=10 MR_METRIC_BUDGET=128 \
-    cargo run -q --release --manifest-path "$ROOT/Cargo.toml" -p mr-bench --bin obs_probe >/dev/null)
-assert_bench obs_probe BENCH_obs.json
-
-echo "==> split_probe: range-lifecycle regression guard"
-# The same skewed remote workload against a static single range and
-# against the lifecycle controller. Fails if splits stop firing under
-# load, if post-split throughput stops beating the single-range baseline,
-# if load stops dispersing across the split ranges, if no lease moves
-# toward demand, or if cold-range merges stop folding the keyspace back
-# down once traffic ends.
-(cd "$SMOKE_DIR" && \
-    cargo run -q --release --manifest-path "$ROOT/Cargo.toml" -p mr-bench --bin split_probe >/dev/null)
-assert_bench split_probe BENCH_split.json
-
-echo "==> storage_probe: WAL/LSM/GC durability regression guard"
-# Drives the storage engine through a cold-key bloom workload, an
-# overwrite-heavy GC workload under an active protected timestamp, and a
-# crash-recovery smoke. Fails if the bloom skip rate drops under 90%, if
-# GC reclaims under 50% of the overwritten history, if a protected AOST
-# read breaks, if below-threshold reads stop erroring, or if WAL replay
-# loses versions.
-(cd "$SMOKE_DIR" && \
-    cargo run -q --release --manifest-path "$ROOT/Cargo.toml" -p mr-bench --bin storage_probe >/dev/null)
-assert_bench storage_probe BENCH_storage.json
+# Every probe must leave a well-formed BENCH_<name>.json behind: a probe
+# that silently stops writing results would otherwise pass CI.
+for name in perf chaos commit raft obs split storage; do
+    file="$PROBE_DIR/BENCH_$name.json"
+    [ -s "$file" ] || { echo "FAIL: probe $name did not write BENCH_$name.json" >&2; exit 1; }
+    if command -v jq >/dev/null; then
+        jq . "$file" >/dev/null
+    else
+        python3 -m json.tool "$file" >/dev/null
+    fi || { echo "FAIL: probe $name wrote malformed JSON to BENCH_$name.json" >&2; exit 1; }
+done
 
 echo "==> durability tier: volatile crashes recover from WAL + SSTs"
 # 20 seed-derived durability_storm schedules (volatile node crashes, a
