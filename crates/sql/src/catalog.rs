@@ -2,6 +2,7 @@
 //! their mapping onto KV ranges.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use mr_kv::zone::{PlacementPolicy, SurvivalGoal};
 use mr_proto::RangeId;
@@ -154,7 +155,7 @@ pub struct Database {
     pub regions: Vec<RegionState>,
     pub survival: SurvivalGoal,
     pub placement: PlacementPolicy,
-    pub tables: HashMap<String, Table>,
+    pub tables: HashMap<String, Rc<Table>>,
 }
 
 impl Database {
@@ -191,7 +192,7 @@ impl Database {
 /// The whole catalog.
 #[derive(Clone, Debug, Default)]
 pub struct Catalog {
-    pub databases: HashMap<String, Database>,
+    pub databases: HashMap<String, Rc<Database>>,
     next_table_id: TableId,
 }
 
@@ -209,21 +210,30 @@ impl Catalog {
         id
     }
 
-    pub fn db(&self, name: &str) -> Option<&Database> {
+    pub fn db(&self, name: &str) -> Option<&Rc<Database>> {
         self.databases.get(name)
     }
 
+    /// Copy-on-write: clones the database descriptor (sharing its tables)
+    /// only if a statement still holds the current version.
     pub fn db_mut(&mut self, name: &str) -> Option<&mut Database> {
-        self.databases.get_mut(name)
+        self.databases.get_mut(name).map(Rc::make_mut)
     }
 
     /// Find `table` in `db`.
-    pub fn table(&self, db: &str, table: &str) -> Option<&Table> {
+    pub fn table(&self, db: &str, table: &str) -> Option<&Rc<Table>> {
         self.databases.get(db)?.tables.get(table)
     }
 
+    /// Copy-on-write, like [`Catalog::db_mut`].
     pub fn table_mut(&mut self, db: &str, table: &str) -> Option<&mut Table> {
-        self.databases.get_mut(db)?.tables.get_mut(table)
+        self.db_mut(db)?.tables.get_mut(table).map(Rc::make_mut)
+    }
+
+    /// Publish `table` as the new version of its name in `db`.
+    pub fn put_table(&mut self, db: &str, table: Table) {
+        let d = self.db_mut(db).expect("DDL resolves the database first");
+        d.tables.insert(table.name.clone(), Rc::new(table));
     }
 }
 

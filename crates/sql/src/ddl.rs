@@ -18,6 +18,7 @@
 //! out of scope.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use mr_kv::cluster::Cluster;
 use mr_kv::zone::{derive_zone_config, ClosedTsPolicy, PlacementPolicy, SurvivalGoal, ZoneConfig};
@@ -207,7 +208,7 @@ fn create_database(
     }
     catalog.databases.insert(
         name.to_string(),
-        Database {
+        Rc::new(Database {
             name: name.to_string(),
             primary_region: primary.to_string(),
             regions: all
@@ -220,7 +221,7 @@ fn create_database(
             survival: SurvivalGoal::Zone,
             placement: PlacementPolicy::Default,
             tables: HashMap::new(),
-        },
+        }),
     );
     Ok(DdlOutcome::Ok)
 }
@@ -235,59 +236,41 @@ fn alter_database(
         return err(format!("unknown database {name:?}"));
     }
     match action {
-        AlterDbAction::AddRegion(region) => add_region(cluster, catalog, name, region),
-        AlterDbAction::DropRegion(region) => drop_region(cluster, catalog, name, region),
+        AlterDbAction::AddRegion(region) => return add_region(cluster, catalog, name, region),
+        AlterDbAction::DropRegion(region) => return drop_region(cluster, catalog, name, region),
         AlterDbAction::SetPrimaryRegion(region) => {
-            {
-                let db = catalog.db_mut(name).unwrap();
-                if !db.has_region(region) {
-                    return err(format!("{region:?} is not a region of {name:?}"));
-                }
-                db.primary_region = region.clone();
+            let db = catalog.db_mut(name).expect("checked above");
+            if !db.has_region(region) {
+                return err(format!("{region:?} is not a region of {name:?}"));
             }
-            reconfigure_database(cluster, catalog, name)?;
-            Ok(DdlOutcome::Ok)
+            db.primary_region = region.clone();
         }
         AlterDbAction::SurviveZoneFailure => {
-            catalog.db_mut(name).unwrap().survival = SurvivalGoal::Zone;
-            reconfigure_database(cluster, catalog, name)?;
-            Ok(DdlOutcome::Ok)
+            catalog.db_mut(name).expect("checked above").survival = SurvivalGoal::Zone;
         }
         AlterDbAction::SurviveRegionFailure => {
-            {
-                let db = catalog.db_mut(name).unwrap();
-                if db.regions.len() < 3 {
-                    return err("SURVIVE REGION FAILURE requires at least 3 regions");
-                }
-                if db.placement == PlacementPolicy::Restricted {
-                    return err(
-                        "PLACEMENT RESTRICTED cannot be combined with REGION survivability",
-                    );
-                }
-                db.survival = SurvivalGoal::Region;
+            let db = catalog.db_mut(name).expect("checked above");
+            if db.regions.len() < 3 {
+                return err("SURVIVE REGION FAILURE requires at least 3 regions");
             }
-            reconfigure_database(cluster, catalog, name)?;
-            Ok(DdlOutcome::Ok)
+            if db.placement == PlacementPolicy::Restricted {
+                return err("PLACEMENT RESTRICTED cannot be combined with REGION survivability");
+            }
+            db.survival = SurvivalGoal::Region;
         }
         AlterDbAction::PlacementRestricted => {
-            {
-                let db = catalog.db_mut(name).unwrap();
-                if db.survival == SurvivalGoal::Region {
-                    return err(
-                        "PLACEMENT RESTRICTED cannot be combined with REGION survivability",
-                    );
-                }
-                db.placement = PlacementPolicy::Restricted;
+            let db = catalog.db_mut(name).expect("checked above");
+            if db.survival == SurvivalGoal::Region {
+                return err("PLACEMENT RESTRICTED cannot be combined with REGION survivability");
             }
-            reconfigure_database(cluster, catalog, name)?;
-            Ok(DdlOutcome::Ok)
+            db.placement = PlacementPolicy::Restricted;
         }
         AlterDbAction::PlacementDefault => {
-            catalog.db_mut(name).unwrap().placement = PlacementPolicy::Default;
-            reconfigure_database(cluster, catalog, name)?;
-            Ok(DdlOutcome::Ok)
+            catalog.db_mut(name).expect("checked above").placement = PlacementPolicy::Default;
         }
     }
+    reconfigure_database(cluster, catalog, name)?;
+    Ok(DdlOutcome::Ok)
 }
 
 fn add_region(
@@ -311,21 +294,16 @@ fn add_region(
     }
     // New partitions for every RBR table; re-derived configs everywhere
     // (non-voters in the new region).
-    let tables: Vec<String> = catalog
+    let rbr_tables: Vec<String> = catalog
         .db(db_name)
-        .unwrap()
+        .expect("checked by alter_database")
         .tables
-        .keys()
-        .cloned()
+        .values()
+        .filter(|t| t.locality == TableLocality::RegionalByRow)
+        .map(|t| t.name.clone())
         .collect();
-    for t in &tables {
-        let is_rbr = matches!(
-            catalog.table(db_name, t).unwrap().locality,
-            TableLocality::RegionalByRow
-        );
-        if is_rbr {
-            create_rbr_partition_ranges(cluster, catalog, db_name, t, region)?;
-        }
+    for t in &rbr_tables {
+        create_rbr_partition_ranges(cluster, catalog, db_name, t, region)?;
     }
     reconfigure_database(cluster, catalog, db_name)?;
     Ok(DdlOutcome::Ok)
@@ -401,10 +379,11 @@ fn drop_region(
     }
     // Commit the drop: remove partition ranges and the enum value.
     for t in &tables {
-        let table = catalog.table_mut(db_name, t).unwrap();
+        let table = catalog.table(db_name, t).expect("listed above");
         if table.locality != TableLocality::RegionalByRow {
             continue;
         }
+        let table = catalog.table_mut(db_name, t).expect("listed above");
         let pk = PartitionKey::Region(region.to_string());
         let mut dropped = Vec::new();
         for idx in table.indexes.iter_mut() {
@@ -528,15 +507,21 @@ fn reconfigure_database(
     catalog: &mut Catalog,
     db_name: &str,
 ) -> Result<(), DdlError> {
-    let db = catalog.db(db_name).unwrap().clone();
+    let db = catalog.db(db_name).expect("checked by caller");
     for table in db.tables.values() {
-        for index in &table.indexes {
-            for (pk, &rid) in &index.ranges {
-                let cfg = zone_config_for_partition(cluster, &db, table, index, pk)?;
-                cluster
-                    .reconfigure_range(rid, cfg)
-                    .map_err(|e| DdlError(format!("reconfigure {rid}: {e}")))?;
-            }
+        reconfigure_ranges(cluster, db, table)?;
+    }
+    Ok(())
+}
+
+/// Re-derive and apply the zone config of every range of `table`.
+fn reconfigure_ranges(cluster: &mut Cluster, db: &Database, table: &Table) -> Result<(), DdlError> {
+    for index in &table.indexes {
+        for (pk, &rid) in &index.ranges {
+            let cfg = zone_config_for_partition(cluster, db, table, index, pk)?;
+            cluster
+                .reconfigure_range(rid, cfg)
+                .map_err(|e| DdlError(format!("reconfigure {rid}: {e}")))?;
         }
     }
     Ok(())
@@ -588,12 +573,11 @@ fn create_table(
 ) -> Result<DdlOutcome, DdlError> {
     let db = catalog
         .db(db_name)
-        .ok_or_else(|| DdlError(format!("unknown database {db_name:?}")))?
-        .clone();
+        .ok_or_else(|| DdlError(format!("unknown database {db_name:?}")))?;
     if db.tables.contains_key(name) {
         return err(format!("table {name:?} already exists"));
     }
-    let locality = resolve_locality(&db, locality)?;
+    let locality = resolve_locality(db, locality)?;
 
     // Columns.
     let mut columns: Vec<Column> = Vec::new();
@@ -659,6 +643,7 @@ fn create_table(
     }
 
     let id = catalog.next_table_id();
+    let db = catalog.db(db_name).expect("looked up above");
     let mut table = Table {
         id,
         name: name.to_string(),
@@ -711,18 +696,14 @@ fn create_table(
     }
 
     // Ranges for every index × partition.
-    let partitions = table_partitions(&db, &table);
+    let partitions = table_partitions(db, &table);
     for i in 0..table.indexes.len() {
         for pk in &partitions {
-            create_partition_range(cluster, &db, &mut table, i, pk)?;
+            create_partition_range(cluster, db, &mut table, i, pk)?;
         }
     }
 
-    catalog
-        .db_mut(db_name)
-        .unwrap()
-        .tables
-        .insert(name.to_string(), table);
+    catalog.put_table(db_name, table);
     Ok(DdlOutcome::Ok)
 }
 
@@ -819,13 +800,17 @@ fn create_rbr_partition_ranges(
     table_name: &str,
     region: &str,
 ) -> Result<(), DdlError> {
-    let db = catalog.db(db_name).unwrap().clone();
-    let mut table = catalog.table(db_name, table_name).unwrap().clone();
+    let db = catalog.db(db_name).expect("checked by caller");
+    let mut table = Table::clone(
+        catalog
+            .table(db_name, table_name)
+            .expect("listed by caller"),
+    );
     let pk = PartitionKey::Region(region.to_string());
     for i in 0..table.indexes.len() {
-        create_partition_range(cluster, &db, &mut table, i, &pk)?;
+        create_partition_range(cluster, db, &mut table, i, &pk)?;
     }
-    *catalog.table_mut(db_name, table_name).unwrap() = table;
+    catalog.put_table(db_name, table);
     Ok(())
 }
 
@@ -880,16 +865,8 @@ fn reconfigure_table(
     db_name: &str,
     name: &str,
 ) -> Result<DdlOutcome, DdlError> {
-    let db = catalog.db(db_name).unwrap().clone();
-    let table = db.tables.get(name).unwrap();
-    for index in &table.indexes {
-        for (pk, &rid) in &index.ranges {
-            let cfg = zone_config_for_partition(cluster, &db, table, index, pk)?;
-            cluster
-                .reconfigure_range(rid, cfg)
-                .map_err(|e| DdlError(format!("reconfigure {rid}: {e}")))?;
-        }
-    }
+    let db = catalog.db(db_name).expect("checked by caller");
+    reconfigure_ranges(cluster, db, &db.tables[name])?;
     Ok(DdlOutcome::Ok)
 }
 
@@ -903,9 +880,9 @@ fn set_locality(
     name: &str,
     locality: &Locality,
 ) -> Result<DdlOutcome, DdlError> {
-    let db = catalog.db(db_name).unwrap().clone();
-    let new_locality = resolve_locality(&db, Some(locality))?;
-    let old = catalog.table(db_name, name).unwrap().clone();
+    let db = catalog.db(db_name).expect("checked by caller");
+    let new_locality = resolve_locality(db, Some(locality))?;
+    let old = catalog.table(db_name, name).expect("checked by caller");
     if old.locality == new_locality {
         return Ok(DdlOutcome::Ok);
     }
@@ -920,8 +897,8 @@ fn set_locality(
 
     // Partitioning changes: offline rewrite. Extract all rows via the
     // primary index, drop all ranges, rebuild layout, re-insert.
-    let rows = read_all_rows(cluster, &old);
-    let mut table = old.clone();
+    let rows = read_all_rows(cluster, old);
+    let mut table = Table::clone(old);
     for index in &table.indexes {
         for &rid in index.ranges.values() {
             cluster.drop_range(rid);
@@ -968,14 +945,14 @@ fn set_locality(
         }
     }
 
-    let partitions = table_partitions(&db, &table);
+    let partitions = table_partitions(db, &table);
     for i in 0..table.indexes.len() {
         for pk in &partitions {
-            create_partition_range(cluster, &db, &mut table, i, pk)?;
+            create_partition_range(cluster, db, &mut table, i, pk)?;
         }
     }
     write_all_rows(cluster, &table, &rows)?;
-    *catalog.table_mut(db_name, name).unwrap() = table;
+    catalog.put_table(db_name, table);
     Ok(DdlOutcome::Ok)
 }
 
@@ -986,8 +963,8 @@ fn add_column(
     name: &str,
     def: &ColumnDef,
 ) -> Result<DdlOutcome, DdlError> {
-    let db = catalog.db(db_name).unwrap().clone();
-    let mut table = catalog.table(db_name, name).unwrap().clone();
+    let db = catalog.db(db_name).expect("checked by caller");
+    let mut table = Table::clone(catalog.table(db_name, name).expect("checked by caller"));
     if table.column_ordinal(&def.name).is_some() {
         return err(format!("column {:?} already exists", def.name));
     }
@@ -1010,12 +987,12 @@ fn add_column(
     });
     let mut rows = rows;
     for row in rows.iter_mut() {
-        let value = backfill_value(&table, row, def, &db)?;
+        let value = backfill_value(&table, row, def, db)?;
         row.push(value);
     }
     // Rewrite stored rows (values embed the full row).
     write_all_rows(cluster, &table, &rows)?;
-    *catalog.table_mut(db_name, name).unwrap() = table;
+    catalog.put_table(db_name, table);
     Ok(DdlOutcome::Ok)
 }
 
@@ -1055,8 +1032,8 @@ fn partition_by_list(
     column: &str,
     partitions: &[(String, Vec<Datum>)],
 ) -> Result<DdlOutcome, DdlError> {
-    let db = catalog.db(db_name).unwrap().clone();
-    let mut table = catalog.table(db_name, name).unwrap().clone();
+    let db = catalog.db(db_name).expect("checked by caller");
+    let mut table = Table::clone(catalog.table(db_name, name).expect("checked by caller"));
     let ord = table
         .column_ordinal(column)
         .ok_or_else(|| DdlError(format!("unknown column {column:?}")))?;
@@ -1085,10 +1062,10 @@ fn partition_by_list(
     // prefixes; plus catch-all ranges over the gaps so unlisted values
     // still route somewhere.
     for i in 0..table.indexes.len() {
-        create_manual_partition_ranges(cluster, &db, &mut table, i, partitions)?;
+        create_manual_partition_ranges(cluster, db, &mut table, i, partitions)?;
     }
     write_all_rows(cluster, &table, &rows)?;
-    *catalog.table_mut(db_name, name).unwrap() = table;
+    catalog.put_table(db_name, table);
     Ok(DdlOutcome::Ok)
 }
 
@@ -1210,11 +1187,12 @@ fn create_index(
     unique: bool,
     storing: &[String],
 ) -> Result<DdlOutcome, DdlError> {
-    let db = catalog.db(db_name).unwrap().clone();
-    let mut table = catalog
-        .table(db_name, table_name)
-        .ok_or_else(|| DdlError(format!("unknown table {table_name:?}")))?
-        .clone();
+    let mut table = Table::clone(
+        catalog
+            .table(db_name, table_name)
+            .ok_or_else(|| DdlError(format!("unknown table {table_name:?}")))?,
+    );
+    let db = catalog.db(db_name).expect("the table's database exists");
     if table.index_by_name(index_name).is_some() {
         return err(format!("index {index_name:?} already exists"));
     }
@@ -1230,14 +1208,14 @@ fn create_index(
         region_partitioned,
     );
     let pos = table.indexes.len() - 1;
-    let partitions = table_partitions(&db, &table);
+    let partitions = table_partitions(db, &table);
     for pk in &partitions {
-        create_partition_range(cluster, &db, &mut table, pos, pk)?;
+        create_partition_range(cluster, db, &mut table, pos, pk)?;
     }
     // Backfill from existing rows.
     let rows = read_all_rows(cluster, &table);
     backfill_index(cluster, &table, pos, &rows);
-    *catalog.table_mut(db_name, table_name).unwrap() = table;
+    catalog.put_table(db_name, table);
     Ok(DdlOutcome::Ok)
 }
 

@@ -688,7 +688,7 @@ impl ExecCtx {
             .tables
             .get(table_name)
             .ok_or_else(|| SqlError::Catalog(format!("unknown table {table_name:?}")))?;
-        Ok((Rc::new(db.clone()), Rc::new(table.clone())))
+        Ok((Rc::clone(db), Rc::clone(table)))
     }
 
     fn eval(&self, table: &Table, row: &[Datum], e: &Expr) -> Result<Datum, SqlError> {
@@ -2323,11 +2323,99 @@ fn exec_delete(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::TableLocality;
     use mr_sim::{RttMatrix, SimDuration, SimTime, Topology};
 
     fn tiny_db() -> SqlDb {
         let topo = Topology::build(&["r0"], 3, RttMatrix::uniform(1, SimDuration::ZERO));
         SqlDb::new(topo, ClusterConfig::default())
+    }
+
+    /// Two regions; database `d` homed in `r0` with a REGIONAL BY ROW
+    /// table `t` and a GLOBAL table `g`.
+    fn catalog_db() -> (SqlDb, Session) {
+        let topo = Topology::build(
+            &["r0", "r1"],
+            3,
+            RttMatrix::uniform(2, SimDuration::from_millis(10)),
+        );
+        let mut db = SqlDb::new(topo, ClusterConfig::default());
+        let sess = db.session(NodeId(0), Some("d"));
+        db.exec_script(
+            &sess,
+            r#"
+            CREATE DATABASE d PRIMARY REGION "r0";
+            CREATE TABLE t (id INT PRIMARY KEY, v STRING) LOCALITY REGIONAL BY ROW;
+            CREATE TABLE g (id INT PRIMARY KEY) LOCALITY GLOBAL;
+            "#,
+        )
+        .unwrap();
+        (db, sess)
+    }
+
+    #[test]
+    fn snapshots_share_unchanged_descriptors() {
+        let (mut db, sess) = catalog_db();
+        let ctx = db.ctx(&sess).unwrap();
+        let (d1, t1) = ctx.snapshot("t").unwrap();
+        let (d2, t2) = ctx.snapshot("t").unwrap();
+        assert!(Rc::ptr_eq(&d1, &d2), "database descriptor was copied");
+        assert!(Rc::ptr_eq(&t1, &t2), "table descriptor was copied");
+        // DDL on another table republishes the database but keeps sharing
+        // every table it did not touch.
+        db.exec_sync(&sess, "CREATE TABLE u (id INT PRIMARY KEY)")
+            .unwrap();
+        let (d3, t3) = ctx.snapshot("t").unwrap();
+        assert!(!Rc::ptr_eq(&d1, &d3));
+        assert!(Rc::ptr_eq(&t1, &t3), "untouched table was copied by DDL");
+        assert_eq!((d1.tables.len(), d3.tables.len()), (2, 3));
+    }
+
+    #[test]
+    fn held_snapshot_keeps_its_version_across_ddl() {
+        let (mut db, sess) = catalog_db();
+        let ctx = db.ctx(&sess).unwrap();
+        let (d1, t1) = ctx.snapshot("t").unwrap();
+        let (_, g1) = ctx.snapshot("g").unwrap();
+        // Through `db_mut` (region list) and a republished `t` (new
+        // partition range).
+        db.exec_sync(&sess, r#"ALTER DATABASE d ADD REGION "r1""#)
+            .unwrap();
+        // Through `table_mut`: a metadata-only locality change.
+        db.exec_sync(
+            &sess,
+            r#"ALTER TABLE g SET LOCALITY REGIONAL BY TABLE IN "r1""#,
+        )
+        .unwrap();
+        assert_eq!(d1.all_regions(), vec!["r0"]);
+        assert_eq!(t1.primary_index().ranges.len(), 1);
+        assert_eq!(g1.locality, TableLocality::Global);
+        let (d2, t2) = ctx.snapshot("t").unwrap();
+        let (_, g2) = ctx.snapshot("g").unwrap();
+        assert_eq!(d2.all_regions(), vec!["r0", "r1"]);
+        assert_eq!(t2.primary_index().ranges.len(), 2);
+        assert_eq!(g2.locality, TableLocality::RegionalByTable("r1".into()));
+    }
+
+    #[test]
+    fn dropped_table_stays_readable_through_a_held_snapshot() {
+        let (mut db, sess) = catalog_db();
+        let ctx = db.ctx(&sess).unwrap();
+        let (d1, t1) = ctx.snapshot("t").unwrap();
+        db.exec_sync(&sess, "DROP TABLE t").unwrap();
+        assert!(matches!(ctx.snapshot("t"), Err(SqlError::Catalog(_))));
+        assert!(d1.tables.contains_key("t"));
+        assert_eq!(t1.name, "t");
+        assert_eq!(t1.region_column(), Some(2));
+        assert_eq!(t1.primary_index().ranges.len(), 1);
+    }
+
+    #[test]
+    fn create_index_in_unknown_database_is_an_error() {
+        let (mut db, _) = catalog_db();
+        let sess = db.session(NodeId(0), Some("nope"));
+        let err = db.exec_sync(&sess, "CREATE INDEX i ON t (v)").unwrap_err();
+        assert!(matches!(err, SqlError::Catalog(_)), "{err}");
     }
 
     #[test]

@@ -38,7 +38,7 @@ use mr_obs::Resolution;
 use mr_proto::RangeId;
 use mr_sim::{NodeId, SimTime};
 
-use crate::catalog::{Catalog, Column, Database, PartitionKey, Table, TableLocality};
+use crate::catalog::{Catalog, Column, PartitionKey, Table, TableLocality};
 use crate::types::{ColumnType, Datum};
 
 /// Namespace prefix routing a `SELECT` to the virtual-table executor.
@@ -96,10 +96,10 @@ fn partition_label(key: &PartitionKey) -> String {
 /// the catalog in sorted order.
 fn range_names(catalog: &Catalog) -> BTreeMap<RangeId, RangeNames> {
     let mut out = BTreeMap::new();
-    let mut dbs: Vec<(&String, &Database)> = catalog.databases.iter().collect();
+    let mut dbs: Vec<_> = catalog.databases.iter().collect();
     dbs.sort_by_key(|&(n, _)| n.clone());
     for (db_name, db) in dbs {
-        let mut tables: Vec<(&String, &Table)> = db.tables.iter().collect();
+        let mut tables: Vec<_> = db.tables.iter().collect();
         tables.sort_by_key(|&(n, _)| n.clone());
         for (table_name, table) in tables {
             for index in &table.indexes {

@@ -33,6 +33,7 @@
 //! moves every committed version out of the memtable, and
 //! [`Engine::put`] forwards write timestamps above the newest run version.
 
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -189,18 +190,19 @@ impl Engine {
     }
 
     /// The merged per-key view: memtable chain (intent + versions) plus
-    /// run versions, deduplicated by timestamp.
-    fn merged_chain(&self, key: &Key) -> Option<VersionChain> {
+    /// run versions, deduplicated by timestamp. Borrows the memtable chain
+    /// when no run holds the key.
+    fn merged_chain(&self, key: &Key) -> Option<Cow<'_, VersionChain>> {
         let mem = self.mem.chain(key);
         let rv = self.run_versions(key);
         if rv.is_empty() {
-            return mem.cloned();
+            return mem.map(Cow::Borrowed);
         }
         let mut c = mem.cloned().unwrap_or_default();
         for v in rv {
             c.insert_version(v.ts, v.value);
         }
-        Some(c)
+        Some(Cow::Owned(c))
     }
 
     /// Distinct keys (memtable ∪ runs) in `span`, sorted.

@@ -5,6 +5,8 @@
 //! dominate simulation time, so this module materializes rows directly in
 //! every replica's store — the moral equivalent of the paper's bulk IMPORT.
 
+use std::rc::Rc;
+
 use mr_sql::catalog::Table;
 use mr_sql::ddl::entry_key;
 use mr_sql::encoding::encode_row;
@@ -15,7 +17,7 @@ use mr_sql::types::Datum;
 /// must contain every column in catalog order, including hidden ones
 /// (`crdb_region` for RBR tables decides the partition).
 pub fn load_rows(db: &mut SqlDb, db_name: &str, table: &str, rows: &[Vec<Datum>]) {
-    let table: Table = {
+    let table: Rc<Table> = {
         let cat = db.catalog.borrow();
         cat.table(db_name, table)
             .unwrap_or_else(|| panic!("unknown table {table:?}"))

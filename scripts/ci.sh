@@ -14,6 +14,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> cargo test perfbench: benchmark gates and tiny runs of every workload"
+# perfbench is a workspace of its own (it builds the crates by path), so
+# the workspace test run above does not reach it. Its tests drive the SQL
+# hot path end to end on each workload at a tiny size.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> probe: every CI probe at default scale"
 # Runs all seven probes (perf, chaos, commit, raft, obs, split, storage)
 # with every online invariant monitor escalated to a panic. What each one
